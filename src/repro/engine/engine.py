@@ -223,6 +223,8 @@ class QueryPlan:
     ``algorithm`` is the final choice when it can be resolved from the
     request or cached state; an ``"auto"`` request whose (k,t)-core has
     not been materialized yet resolves provisionally (see ``notes``).
+    ``search_backend`` likewise: under ``"auto"`` it follows |H^t_k|,
+    and a flat prediction from an upper bound on |H^t_k| is provisional.
     """
 
     request: MACRequest
@@ -290,9 +292,13 @@ class MACEngine:
         Default compute backend for requests that leave
         ``MACRequest.backend`` as ``None``: ``"flat"`` runs the
         vectorized CSR kernels (``repro.kernels``), ``"python"`` the
-        original per-vertex implementations, ``"auto"`` picks by social
-        network size.  Both produce identical results; the selector is
-        resolved once per request so all cache keys are canonical.
+        original per-vertex implementations, ``"auto"`` picks the
+        prepared stages' backend by social network size and the GS/LS
+        path by |H^t_k| (crossovers in :mod:`repro.kernels.backend`).
+        Both produce identical results; the stage backend is resolved
+        once per request so all cache keys are canonical.  Each result
+        reports both in ``extra["engine"]`` (``backend`` for the stages,
+        ``search_backend`` for the search that ran).
     eager:
         Build the G-tree at construction time (only when the resolved
         default strategy uses it) instead of on first use.
@@ -755,21 +761,34 @@ class MACEngine:
         return request.use_gtree
 
     def _resolve_backend_selector(self, selector: str) -> str:
-        """Concrete ``"flat"``/``"python"`` for an ``"auto"`` selector.
+        """Concrete ``"flat"``/``"python"`` stage backend for a selector.
 
         ``"auto"`` is resolved once, against the social-network size (the
         substrate every staged kernel runs on), so cache keys stay
         canonical across requests that spell the default differently.
+        The search stage resolves separately, from |H^t_k|
+        (:meth:`_resolve_search_backend`).
         """
         return resolve_backend(selector, self.network.social.num_users)
 
-    def _resolve_backend(self, request: MACRequest) -> str:
-        selector = (
+    def _selector(self, request: MACRequest) -> str:
+        """The request's raw backend selector (engine default if unset)."""
+        return (
             request.backend
             if request.backend is not None
             else self._default_backend
         )
-        return self._resolve_backend_selector(selector)
+
+    def _resolve_backend(self, request: MACRequest) -> str:
+        return self._resolve_backend_selector(self._selector(request))
+
+    def _resolve_search_backend(
+        self, request: MACRequest, algorithm: str, htk_vertices: int
+    ) -> str:
+        """GS/LS compute path: ``"auto"`` picks it from |H^t_k|."""
+        return resolve_backend(
+            self._selector(request), htk_vertices, algorithm
+        )
 
     def _prepared_filter(
         self,
@@ -788,14 +807,9 @@ class MACEngine:
             # lets bounded Dijkstra apply its own per-kernel rule (flat
             # measures slower there), while the resolved ``backend``
             # governs the social kernels below and the cache keys.
-            selector = (
-                request.backend
-                if request.backend is not None
-                else self._default_backend
-            )
             dq = self.network.query_distance_filter(
                 request.query, request.t,
-                use_gtree=use_gtree, backend=selector,
+                use_gtree=use_gtree, backend=self._selector(request),
             )
             filtered = self.network.social.graph.subgraph(dq)
             flat = core_rows = None
@@ -951,11 +965,15 @@ class MACEngine:
         algorithm: str,
         core_state: _PreparedCore,
         gd: DominanceGraph,
-        backend: str,
+        search_backend: str,
         deadline: Deadline | None = None,
     ) -> tuple[list[PartitionEntry], SearchStats, bool]:
         core = core_state.core
-        flat = self._search_flat(core_state) if backend == "flat" else None
+        flat = (
+            self._search_flat(core_state)
+            if search_backend == "flat"
+            else None
+        )
         anytime = request.anytime and deadline is not None
         if algorithm == "global":
             searcher = GlobalSearch(
@@ -1130,8 +1148,10 @@ class MACEngine:
             )
             return result
         prepare_s = time.perf_counter() - start
-        algorithm, _reason = self._resolve_algorithm(
-            request, core_state.core.num_vertices
+        htk_vertices = core_state.core.num_vertices
+        algorithm, _reason = self._resolve_algorithm(request, htk_vertices)
+        search_backend = self._resolve_search_backend(
+            request, algorithm, htk_vertices
         )
         if deadline is not None and not anytime:
             # Anytime requests always enter the searcher: even with an
@@ -1140,7 +1160,7 @@ class MACEngine:
             deadline.check("search")
         search_start = time.perf_counter()
         partitions, stats, partial = self._run_searcher(
-            request, algorithm, core_state, gd, backend, deadline
+            request, algorithm, core_state, gd, search_backend, deadline
         )
         search_s = time.perf_counter() - search_start
         times["search"] = search_s
@@ -1158,7 +1178,7 @@ class MACEngine:
             partitions,
             stats,
             time.perf_counter() - start,
-            htk_vertices=core_state.core.num_vertices,
+            htk_vertices=htk_vertices,
             htk_edges=core_state.core.num_edges,
             partial=partial,
             progress=progress,
@@ -1166,6 +1186,7 @@ class MACEngine:
         result.extra["engine"] = self._telemetry_entry(
             request, algorithm, use_gtree, backend, tel_cache, times,
             prepare_s=prepare_s, search_s=search_s,
+            search_backend=search_backend,
         )
         return result
 
@@ -1179,6 +1200,7 @@ class MACEngine:
         times: dict[str, float],
         prepare_s: float,
         search_s: float,
+        search_backend: str = "none",
     ) -> dict:
         timings = {"prepare": prepare_s, "search": search_s}
         # Per-stage build cost of this request (0.0 = served from cache).
@@ -1189,6 +1211,7 @@ class MACEngine:
             "algorithm": algorithm,
             "filter_strategy": "gtree" if use_gtree else "dijkstra",
             "backend": backend,
+            "search_backend": search_backend,
             "cache": dict(tel_cache),
             "timings": timings,
         }
@@ -1340,15 +1363,28 @@ class MACEngine:
             searcher = "none"
         else:
             searcher = SEARCHER_NAMES[(algorithm, request.problem)]
-        if algorithm == "local":
-            search_backend = backend
-            frontier = f"push-{request.strategy}"
-        elif algorithm == "global":
-            search_backend = backend
-            frontier = f"peel-{request.refinement}"
+        if algorithm == "none":
+            search_backend = frontier = "none"
         else:
-            search_backend = "none"
-            frontier = "none"
+            frontier = (
+                f"push-{request.strategy}"
+                if algorithm == "local"
+                else f"peel-{request.refinement}"
+            )
+            # ``upper`` is |H^t_k| when it is known and a bound on it
+            # otherwise, so a python prediction is always exact.
+            search_backend = self._resolve_search_backend(
+                request, algorithm, upper
+            )
+            if (
+                search_backend == "flat"
+                and not known_exact
+                and self._selector(request) == "auto"
+            ):
+                notes.append(
+                    f"search backend is provisional until H^t_k is "
+                    f"materialized (|H^t_k| <= {upper})"
+                )
         with self._counter_lock:
             stage_seconds = dict(self._stage_seconds)
         return QueryPlan(

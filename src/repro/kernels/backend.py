@@ -1,9 +1,23 @@
 """Backend selection shared by every kernel-accelerated entry point.
 
 ``"flat"`` runs the vectorized CSR kernels, ``"python"`` the original
-dict/heap implementations, and ``"auto"`` picks per call site: flat for
-graphs large enough that numpy wins, python below that (array setup has
-a fixed cost the dict paths do not pay on tiny inputs).
+dict/heap implementations, and ``"auto"`` picks per stage from the size
+of that stage's own input: flat once the input is large enough that
+numpy wins, python below that (array setup and per-call numpy overhead
+are a fixed cost the dict paths do not pay on small inputs).
+
+The crossovers live in one table, :data:`AUTO_FLAT_MIN_VERTICES`:
+
+* ``"graph"`` -- the graph kernels (core decomposition, the engine's
+  prepared filter/core stages, the G-tree build), keyed on the size of
+  the graph they run over;
+* ``"global"`` / ``"local"`` -- the GS and LS search loops, keyed on
+  |H^t_k|, the (k,t)-core being searched.  Measured by
+  ``benchmarks/bench_dispatch.py`` (``BENCH_dispatch.json``), which
+  also asserts that ``"auto"`` stays within 5% of the faster backend in
+  every |H^t_k| bucket of its sweep.
+
+An explicit ``"flat"`` or ``"python"`` is honoured at every size.
 """
 
 from __future__ import annotations
@@ -13,20 +27,40 @@ from repro.errors import GraphError
 #: Valid backend selectors, in every ``backend=`` parameter.
 BACKENDS = ("auto", "flat", "python")
 
-#: ``"auto"`` switches to the flat kernels at this vertex count.  The
-#: flat paths pay a CSR conversion per call; measured one-shot breakeven
-#: against the python paths sits around a couple thousand vertices
-#: (callers that convert once and reuse — e.g. the engine's prepared
-#: stages — can force ``"flat"`` below it).
-AUTO_FLAT_MIN_VERTICES = 2048
+#: ``"auto"`` switches a stage to the flat kernels at this many input
+#: vertices.  ``"graph"``: the flat paths pay a CSR conversion per call,
+#: and the one-shot breakeven against the python paths sits around a
+#: couple thousand vertices (callers that convert once and reuse can
+#: force ``"flat"`` below it).  ``"global"``/``"local"``: the searches
+#: reuse one CSR view of H^t_k per cached core but pay numpy dispatch
+#: on every peel round / frontier step.  In the ``bench_dispatch.py``
+#: sweep (``fl+yelp``, scale 0.5) flat GS takes 1.5-3.4x the python
+#: time per bucket up to 511 vertices, and wins all but one query set
+#: from 878 on.  Python LS wins below ~30 vertices; from there
+#: to ~160 k decides as much as size (python on k=3 cores, flat on most
+#: k>=4 ones), and any threshold from 40 to 56 gives the sweep the same
+#: total.  56 keeps python on the 16-60 vertex cores of the served
+#: benchmark mix, where python LS is ~15% faster in total and has the
+#: shorter tail.
+AUTO_FLAT_MIN_VERTICES = {
+    "graph": 2048,
+    "global": 800,
+    "local": 56,
+}
 
 
-def resolve_backend(backend: str, num_vertices: int) -> str:
-    """Map a backend selector to the concrete ``"flat"``/``"python"``."""
+def resolve_backend(
+    backend: str, num_vertices: int, stage: str = "graph"
+) -> str:
+    """Map a backend selector to the concrete ``"flat"``/``"python"``.
+
+    ``num_vertices`` is the size of the input ``stage`` runs over.
+    """
     if backend not in BACKENDS:
         raise GraphError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}"
         )
     if backend == "auto":
-        return "flat" if num_vertices >= AUTO_FLAT_MIN_VERTICES else "python"
+        crossover = AUTO_FLAT_MIN_VERTICES[stage]
+        return "flat" if num_vertices >= crossover else "python"
     return backend
