@@ -3,7 +3,7 @@
 The engine's ``"auto"`` backend picks the GS/LS compute path from
 |H^t_k|, the maximal connected (k,t)-core being searched, using the
 crossover table in ``repro.kernels.backend``.  This bench is where those
-crossovers come from.  It sweeps |H^t_k| buckets from 16 to >= 512
+crossovers come from.  It sweeps |H^t_k| buckets from 16 to >= 2048
 vertices on ``fl+yelp`` at scale 0.5 (the end-to-end benchmark's
 dataset), growing ``t`` to reach the larger cores, and times each
 warm search three ways: ``backend="flat"``, ``backend="python"`` and
@@ -66,15 +66,15 @@ SIGMAS = (0.005, 0.01, 0.05)
 PROBLEMS = (("nc", 1), ("topj", 5))
 
 #: Lower edges of the |H^t_k| buckets; the last bucket is open-ended.
-BUCKETS = (16, 32, 64, 128, 256, 512)
-#: Cores above this are left out: LS on a 2k-vertex core takes seconds
-#: per call on either path, and flat wins there by 2-3x anyway.
-HTK_MAX = 1200
+BUCKETS = (16, 32, 64, 128, 256, 512, 1024, 2048)
+#: Cores above this are left out (the largest this dataset reaches at
+#: the swept t is ~2900 vertices).
+HTK_MAX = 3200
 
 K_VALUES = (3, 4, 5, 6)
 QUERY_SIZES = (1, 2, 4)
 #: ``t`` as a multiple of the dataset's default (scaled by road extent).
-T_FACTORS = (0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 6.0)
+T_FACTORS = (0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 6.0, 8.0, 10.0, 12.0)
 
 ALGORITHMS = ("global", "local")
 MODES = ("flat", "python", "auto")

@@ -16,6 +16,17 @@ comparisons (Corollary 3), and finally certifies each sub-cell by running
 the exact peeling oracle at the cell's interior point.  Certification
 keeps LS sound for its sampled weight while staying incomplete exactly
 like the paper's local search (the Fig. 12 ratio experiment).
+
+Every Verify test reduces to "the connected k-ĉore containing Q of
+H^t_k[S]" for some vertex set S, or to a Gd sweep (leaves, tops,
+r-dominators of S).  One search builds a bitset view of H^t_k once
+(:class:`_BitView`): bit i is the i-th smallest vertex id, S is a Python
+``int``, adjacency and the Gd descendant/ancestor closures are ``int``
+masks, so a sweep is a few big-int operations per member and a python
+k-ĉore probe peels with ``(adj[i] & S).bit_count() < k`` instead of
+copying a dict subgraph.  The flat backend keeps its CSR probes: bit i
+is also row i of the flat view, so a mask converts to a row mask with
+one ``unpackbits``.
 """
 
 from __future__ import annotations
@@ -32,20 +43,10 @@ from repro.geometry.cell import Cell
 from repro.geometry.partition_tree import PartitionTree
 from repro.geometry.region import PreferenceRegion
 from repro.graph.adjacency import AdjacencyGraph
-from repro.graph.core import k_core_containing
 from repro.kernels.flatgraph import FlatGraph
-from repro.kernels.search import (
-    alive_degrees,
-    cascade_rows,
-    k_core_containing_rows,
-    restrict_rows,
-)
+from repro.kernels.search import k_core_containing_rows
 from repro.core.global_search import SearchStats
-from repro.core.peeling import (
-    cascade_delete,
-    deletion_chain,
-    restrict_to_query_component,
-)
+from repro.core.peeling import deletion_chain
 from repro.core.query import Community, PartitionEntry
 
 #: Eq. 3 / Eq. 4 constants, as used in the paper's experiments.
@@ -317,6 +318,140 @@ def _expand_flat(
     return candidates
 
 
+def _bit_indices(mask: int) -> list[int]:
+    """Set bit positions of ``mask``, ascending.
+
+    Few bits: peel the lowest set bit off a Python int.  Many: one
+    ``unpackbits`` over the int's bytes (the peel loop costs a big-int
+    operation per bit, quadratic on dense masks of long cores).
+    """
+    if mask.bit_count() > 24:
+        raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+        return np.flatnonzero(
+            np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little")
+        ).tolist()
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+class _BitView:
+    """H^t_k and its Gd closures as ``int`` bitmasks, built once per search.
+
+    Bit i stands for ``ids[i]``, the i-th smallest vertex id — the row
+    order of :func:`~repro.kernels.search.search_flatgraph` too, so
+    :meth:`rows` / :meth:`from_rows` convert to and from a flat row mask.
+    ``adj[i]`` holds the H^t_k neighbors of ``ids[i]``; ``below[i]`` /
+    ``above[i]`` its strict Gd descendants / ancestors within H^t_k
+    (closed through every Gd vertex, in one pass over the topological
+    ``gd.order`` each).
+    """
+
+    def __init__(self, htk: AdjacencyGraph, gd: DominanceGraph) -> None:
+        ids = sorted(htk.vertices())
+        self.ids = ids
+        self.n = len(ids)
+        self.index = {v: i for i, v in enumerate(ids)}
+        self.bit = {v: 1 << i for i, v in enumerate(ids)}
+        self.full = (1 << self.n) - 1
+        bit = self.bit
+        self.adj = [sum(bit[u] for u in htk.neighbors(v)) for v in ids]
+        self.below = self._closure(reversed(gd.order), gd.children)
+        self.above = self._closure(gd.order, gd.parents)
+
+    def _closure(self, order, arcs) -> list[int]:
+        bit = self.bit
+        closed: dict[int, int] = {}
+        for v in order:
+            m = 0
+            for u in arcs[v]:
+                m |= closed[u] | bit.get(u, 0)
+            closed[v] = m
+        return [closed[v] for v in self.ids]
+
+    def mask(self, vertices: Iterable[int]) -> int:
+        """Mask of distinct ``vertices``."""
+        bit = self.bit
+        return sum(bit[v] for v in vertices)
+
+    def adj_of(self, v: int) -> int:
+        return self.adj[self.index[v]]
+
+    def members(self, mask: int) -> list[int]:
+        """Vertex ids of ``mask``, ascending."""
+        ids = self.ids
+        return [ids[i] for i in _bit_indices(mask)]
+
+    @staticmethod
+    def _union(closures: list[int], mask: int) -> int:
+        out = 0
+        for i in _bit_indices(mask):
+            out |= closures[i]
+        return out
+
+    def dominators(self, mask: int) -> int:
+        """Vertices r-dominating some vertex of ``mask``."""
+        return self._union(self.above, mask)
+
+    def leaves(self, mask: int) -> int:
+        """Bottom layer of Gd[mask] (``gd.leaves_within``)."""
+        return mask & ~self.dominators(mask)
+
+    def tops(self, mask: int) -> int:
+        """Top layer of Gd[mask] (``gd.tops_within``)."""
+        return mask & ~self._union(self.below, mask)
+
+    def kcore(self, mask: int, qmask: int, k: int) -> int | None:
+        """The connected k-ĉore of H^t_k[mask] containing ``qmask``.
+
+        Peels ``deg < k`` with a stack (a vertex is pushed once, when its
+        degree first drops below k), stops as soon as a query vertex
+        goes, then grows Q's component a BFS level at a time.
+        """
+        if mask & qmask != qmask:
+            return None
+        adj = self.adj
+        live = _bit_indices(mask)
+        degrees = [(adj[i] & mask).bit_count() for i in live]
+        deg = dict(zip(live, degrees))
+        stack = [i for i, d in zip(live, degrees) if d < k]
+        while stack:
+            i = stack.pop()
+            b = 1 << i
+            if b & qmask:
+                return None
+            mask ^= b
+            for j in _bit_indices(adj[i] & mask):
+                d = deg[j] - 1
+                deg[j] = d
+                if d == k - 1:
+                    stack.append(j)
+        seen = frontier = qmask & -qmask
+        while frontier:
+            reach = 0
+            for i in _bit_indices(frontier):
+                reach |= adj[i]
+            frontier = reach & mask & ~seen
+            seen |= frontier
+        if seen & qmask != qmask:
+            return None
+        return seen
+
+    def rows(self, mask: int) -> np.ndarray:
+        """Boolean row mask of the flat view."""
+        raw = mask.to_bytes((self.n + 7) // 8, "little")
+        return np.unpackbits(
+            np.frombuffer(raw, np.uint8), count=self.n, bitorder="little"
+        ).view(bool)
+
+    def from_rows(self, rows: np.ndarray) -> int:
+        packed = np.packbits(rows, bitorder="little")
+        return int.from_bytes(packed.tobytes(), "little")
+
+
 class LocalSearch:
     """Algorithms 3-5 over a prepared H^t_k and its r-dominance graph."""
 
@@ -356,10 +491,10 @@ class LocalSearch:
         #: Optional CSR view of ``htk`` (same vertex set) — the "flat"
         #: search backend: expand, the k-ĉore probes, and the peeling
         #: certifications run over int row arrays with batch degree
-        #: updates instead of dict subgraph copies.
+        #: updates; the python backend probes the bitset view instead.
         self.flat = flat
         self._qrows: list[int] = [] if flat is None else flat.rows_of(
-            tuple(sorted(set(query)))
+            self.query
         )
         #: Anytime mode: deadline expiry stops the search and returns
         #: the certified entries found so far (``partial`` set) instead
@@ -368,7 +503,12 @@ class LocalSearch:
         self.partial = False
         self.stats = SearchStats()
         self._all = frozenset(htk.vertices())
-        self._bound_memo: dict[tuple[int, frozenset[int]], bool] = {}
+        # Per-search invariants of Verify, shared by every candidate
+        # (a Cell is immutable, so clipping never alters the root).
+        self._bits = _BitView(htk, gd)
+        self._qmask = self._bits.mask(self.query)
+        self._all_leaves = self._bits.leaves(self._bits.full)
+        self._root = Cell.from_region(region)
 
     def _checkpoint(self, stage: str) -> bool:
         """Deadline gate: True means "stop here" (anytime expiry).
@@ -386,80 +526,67 @@ class LocalSearch:
         self.deadline.check(stage)
         return False
 
-    def _kcore_members(self, vertices) -> frozenset[int] | None:
-        """Members of the connected k-ĉore of H^t_k[vertices] around Q.
+    def _kcore_members(self, mask: int) -> int | None:
+        """Mask of the connected k-ĉore of H^t_k[mask] around Q.
 
-        The one k-core probe every Verify helper reduces to; the flat
-        path peels a row mask in place of building a dict subgraph.
-        ``None`` when no such core exists (including Q ⊄ vertices).
+        The one k-core probe every Verify helper reduces to: a bitset
+        peel on the python path, a row-mask peel on the flat path.
+        ``None`` when no such core exists (including Q ⊄ mask).
         """
-        if self.flat is not None:
-            fg = self.flat
-            mask = np.zeros(fg.n, bool)
-            mask[fg.rows_of(vertices)] = True
-            comp = k_core_containing_rows(fg, mask, self._qrows, self.k)
-            if comp is None:
-                return None
-            return frozenset(fg.select_ids(comp))
-        core = k_core_containing(
-            self.htk.subgraph(vertices), self.query, self.k
+        if self.flat is None:
+            return self._bits.kcore(mask, self._qmask, self.k)
+        comp = k_core_containing_rows(
+            self.flat, self._bits.rows(mask), self._qrows, self.k
         )
-        if core is None:
-            return None
-        return frozenset(core.vertices())
+        return None if comp is None else self._bits.from_rows(comp)
 
     # ------------------------------------------------------------------
-    # Corollary 2 / Lemma 8 machinery
+    # Corollary 2 / Lemma 8 machinery (vertex sets are bitmasks)
     # ------------------------------------------------------------------
-    def _survives_alone(self, v: int, members: frozenset[int]) -> bool:
+    def _survives_alone(self, v: int, members: int) -> bool:
         """Does v survive in the k-ĉore of H^t_k[VH ∪ {v}] containing Q?
 
         If it does, v can never be deleted (it is not score-deletable while
         it r-dominates a member, and it is structurally safe even when all
         other outside vertices are gone) — Corollary 2(2).  If it does not,
         v is *bound*: it dies by cascade regardless of its score.
+
+        Every candidate VH is a connected k-core containing Q, so peeling
+        VH ∪ {v} can only remove v, and with k >= 1 a surviving v has a
+        neighbor in VH, hence in Q's component: one popcount answers it.
         """
-        key = (v, members)
-        memo = self._bound_memo.get(key)
-        if memo is not None:
-            return memo
-        core = self._kcore_members(members | {v})
-        survives = core is not None and v in core
-        self._bound_memo[key] = survives
-        return survives
+        return (self._bits.adj_of(v) & members).bit_count() >= self.k
 
     def _effective_tops(
-        self, outside: set[int], members: frozenset[int]
-    ) -> tuple[list[int], set[int]] | None:
+        self, outside: int, members: int
+    ) -> tuple[list[int], int] | None:
         """Top layer of Gc after discarding bound vertices (Corollary 3(2)).
 
         Returns ``(tops, bound)`` — the constraint-carrying top vertices
-        and the set discarded as bound — or None when Corollary 2(2)
+        and the mask discarded as bound — or None when Corollary 2(2)
         rejects the candidate: an outside r-dominator of a member can
         never be deleted (it is not score-deletable while its dominee
         remains in H, and it survives structurally even with every other
         outside vertex gone).
         """
-        dominates_member = self.gd.has_descendant_in(set(members))
-        for v in outside:
-            if dominates_member[v] and self._survives_alone(v, members):
+        bits = self._bits
+        for v in bits.members(bits.dominators(members) & outside):
+            if self._survives_alone(v, members):
                 return None
-        pool = set(outside)
-        bound_all: set[int] = set()
+        pool = outside
+        bound_all = 0
         while True:
-            tops = self.gd.tops_within(pool)
+            tops = bits.members(bits.tops(pool))
             bound = [t for t in tops if not self._survives_alone(t, members)]
-            safe = [t for t in tops if t not in bound]
             if not bound:
-                return safe, bound_all
-            bound_all.update(bound)
-            pool -= set(bound)
+                return tops, bound_all
+            bound_mask = bits.mask(bound)
+            bound_all |= bound_mask
+            pool &= ~bound_mask
             if not pool:
                 return [], bound_all
 
-    def _has_mutual_support(
-        self, members: frozenset[int], bound: set[int]
-    ) -> bool:
+    def _has_mutual_support(self, members: int, bound: int) -> bool:
         """Corollary 3(3) situation: bound vertices that keep each other
         alive (e.g. the paper's v4/v5 against H1).
 
@@ -472,19 +599,16 @@ class LocalSearch:
         if not bound:
             return False
         core = self._kcore_members(members | bound)
-        return core is not None and any(v in core for v in bound)
+        return core is not None and bool(core & bound)
 
-    def _anchors(
-        self, members: frozenset[int], leaves: list[int]
-    ) -> list[int]:
+    def _anchors(self, members: int, leaves: list[int]) -> list[int]:
         """Lemma 8: non-Q leaves of Ge whose removal keeps a k-ĉore ⊇ Q."""
-        anchors = []
-        for v in leaves:
-            if v in self.query_set:
-                continue
-            if self._kcore_members(members - {v}) is not None:
-                anchors.append(v)
-        return anchors
+        bit = self._bits.bit
+        return [
+            v for v in leaves
+            if v not in self.query_set
+            and self._kcore_members(members & ~bit[v]) is not None
+        ]
 
     # ------------------------------------------------------------------
     def _certify_chain(self, cell: Cell, members: frozenset[int]) -> bool:
@@ -497,7 +621,7 @@ class LocalSearch:
         return frozenset(chain[-1]) == members
 
     def _certify_fast(
-        self, cell: Cell, members: frozenset[int], ge_leaves: list[int]
+        self, cell: Cell, members: int, ge_leaves: list[int]
     ) -> bool:
         """Local non-containment check at the cell's interior point.
 
@@ -505,8 +629,10 @@ class LocalSearch:
         Corollary-3 half-spaces already clipped into the cell; what
         remains is Definition 6: deleting H's smallest-score member must
         destroy the k-ĉore around Q.  The minimum of H is attained at a
-        bottom-layer vertex of Ge, so only those are inspected, and the
-        cascade runs on H's own subgraph only.
+        bottom-layer vertex of Ge, so only those are inspected.  H is a
+        k-core, so the k-core of H - {u} is what the cascade delete of u
+        leaves; there is no k-ĉore ⊇ Q exactly when that cascade takes a
+        query vertex (Corollary 1(2)) or splits Q apart.
         """
         w = cell.interior_point()
         u = min(
@@ -514,56 +640,35 @@ class LocalSearch:
         )
         if u in self.query_set:
             return True  # Corollary 1(1)
-        if self.flat is not None:
-            fg = self.flat
-            mask = np.zeros(fg.n, bool)
-            mask[fg.rows_of(members)] = True
-            deg = alive_degrees(fg, mask)
-            removed = cascade_rows(fg, deg, mask, fg.row_of(u), self.k)
-            ids = fg.ids
-            if {ids[i] for i in removed.tolist()} & self.query_set:
-                return True  # Corollary 1(2)
-            return restrict_rows(fg, mask, self._qrows) is None
-        sub = self.htk.subgraph(members)
-        deleted = cascade_delete(sub, u, self.k)
-        if deleted & self.query_set:
-            return True  # Corollary 1(2)
-        return restrict_to_query_component(sub, self.query) is None
-
-    def _certify(
-        self, cell: Cell, members: frozenset[int], ge_leaves: list[int]
-    ) -> bool:
-        if self.certification == "chain":
-            return self._certify_chain(cell, members)
-        return self._certify_fast(cell, members, ge_leaves)
+        return self._kcore_members(members & ~self._bits.bit[u]) is None
 
     def _verify_candidate(
         self, members: frozenset[int]
     ) -> list[tuple[Cell, frozenset[int]]]:
         """Algorithm 5 for one candidate: certified (cell, members)."""
-        outside = set(self._all - members)
-        root = Cell.from_region(self.region)
+        bits = self._bits
+        inside = bits.mask(members)
+        outside = bits.full & ~inside
         mutual_support = False
         if outside:
             # Corollary 2(1): deletion must start at an outside leaf of Gd.
-            all_leaves = set(self.gd.leaves_within(self._all))
-            if not (all_leaves & outside):
+            if not self._all_leaves & outside:
                 return []
-            analyzed = self._effective_tops(outside, members)
+            analyzed = self._effective_tops(outside, inside)
             if analyzed is None:
                 return []
             tops, bound = analyzed
-            mutual_support = self._has_mutual_support(members, bound)
+            mutual_support = self._has_mutual_support(inside, bound)
         else:
             tops = []  # candidate is H^t_k itself: only anchors matter
-        ge_leaves = self.gd.leaves_within(members)
-        anchors = self._anchors(members, ge_leaves)
+        ge_leaves = bits.members(bits.leaves(inside))
+        anchors = self._anchors(inside, ge_leaves)
         # Corollary 3: H is valid where every bottom-layer member of Ge
         # scores above every (bound-adjusted) top of Gc, and no anchor is
         # the community minimum.  Each condition is one half-space, so the
         # validity region is a single convex cell — clip instead of
         # building an arrangement.
-        cell = root
+        cell = self._root
         non_anchor_leaves = [u for u in ge_leaves if u not in anchors]
         for u in ge_leaves:
             for a in tops:
@@ -577,13 +682,14 @@ class LocalSearch:
                 self.stats.halfspaces_inserted += 1
                 if cell.is_empty():
                     return []
-        if mutual_support:
+        if mutual_support or self.certification == "chain":
             # Disjunctive reachability (Corollary 3(3)): the fast local
             # check cannot see which cluster member breaks first — use
-            # the exact oracle for this (rare) shape.
+            # the exact oracle for this (rare) shape, as "chain" does
+            # for every candidate.
             certified = self._certify_chain(cell, members)
         else:
-            certified = self._certify(cell, members, ge_leaves)
+            certified = self._certify_fast(cell, inside, ge_leaves)
         if certified:
             return [(cell, members)]
         return []
@@ -604,11 +710,12 @@ class LocalSearch:
         """
         probes = [self.region.pivot()]
         probes.extend(self.region.corners())
-        out: list[frozenset[int]] = []
+        bit = self._bits.bit
+        out: list[int] = []
         seen_rankings: set[tuple[int, ...]] = set()
         for w in probes:
             if self._checkpoint("local threshold probing"):
-                return out
+                break
             ranked = sorted(
                 self._all,
                 key=lambda v: (-self.gd.score_at(v, w), v),
@@ -617,38 +724,39 @@ class LocalSearch:
             if signature in seen_rankings:
                 continue  # small regions often rank identically everywhere
             seen_rankings.add(signature)
-
-            def core_of(size: int):
-                return self._kcore_members(ranked[:size])
+            # prefix[size] is the mask of the ``size`` best-scored vertices.
+            prefix = [0]
+            for v in ranked:
+                prefix.append(prefix[-1] | bit[v])
 
             # Existence of the prefix k-ĉore is monotone in the prefix
             # size: binary-search the smallest feasible prefix, then walk
             # upward collecting the chain communities bottom-up.
             lo, hi = self.k + 1, len(ranked)
-            if core_of(hi) is None:
+            if self._kcore_members(prefix[hi]) is None:
                 continue
             while lo < hi:
                 mid = (lo + hi) // 2
-                if core_of(mid) is None:
+                if self._kcore_members(prefix[mid]) is None:
                     lo = mid + 1
                 else:
                     hi = mid
             found = 0
-            previous: frozenset[int] | None = None
+            previous: int | None = None
             for size in range(lo, len(ranked) + step, step):
                 if self._checkpoint("local threshold probing"):
-                    return out
-                fs = core_of(min(size, len(ranked)))
-                if fs is None:
+                    return [frozenset(self._bits.members(m)) for m in out]
+                core = self._kcore_members(prefix[min(size, len(ranked))])
+                if core is None:
                     continue
-                if fs != previous:
-                    previous = fs
-                    if fs not in out:
-                        out.append(fs)
+                if core != previous:
+                    previous = core
+                    if core not in out:
+                        out.append(core)
                     found += 1
                     if found >= per_probe:
                         break
-        return out
+        return [frozenset(self._bits.members(m)) for m in out]
 
     def search_nc(self) -> list[PartitionEntry]:
         """Problem 2 via local search: non-contained MACs with partitions."""
@@ -685,8 +793,7 @@ class LocalSearch:
             # certified non-contained — return it as the best-so-far.
             entries.append(
                 PartitionEntry(
-                    Cell.from_region(self.region),
-                    [Community(self._all, partial=True)],
+                    self._root, [Community(self._all, partial=True)]
                 )
             )
         self.stats.partitions = len(entries)
@@ -704,6 +811,7 @@ class LocalSearch:
         if j < 1:
             raise QueryError(f"j must be >= 1, got {j}")
         base = self.search_nc()
+        bits = self._bits
         entries: list[PartitionEntry] = []
         for entry in base:
             if self.partial and entry.best.partial:
@@ -713,20 +821,20 @@ class LocalSearch:
                 entries.append(entry)
                 continue
             members = entry.best.members
-            outside = set(self._all - members)
             refine: list = []
             # Peel up to j-1 dominance layers off Gc, collecting pairwise
             # half-spaces per layer (score order inside a layer decides
             # which vertex returns first).
-            pool = set(outside)
+            pool = bits.full & ~bits.mask(members)
             for _level in range(j - 1):
                 if not pool:
                     break
-                tops = self.gd.tops_within(pool)
+                top_mask = bits.tops(pool)
+                tops = bits.members(top_mask)
                 for i, u in enumerate(tops):
                     for v in tops[i + 1 :]:
                         refine.append(self.gd.halfspace(u, v))
-                pool -= set(tops)
+                pool &= ~top_mask
             tree = PartitionTree(entry.cell)
             for h in refine:
                 tree.insert(h)

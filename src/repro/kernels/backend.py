@@ -36,16 +36,17 @@ BACKENDS = ("auto", "flat", "python")
 #: on every peel round / frontier step.  In the ``bench_dispatch.py``
 #: sweep (``fl+yelp``, scale 0.5) flat GS takes 1.5-3.4x the python
 #: time per bucket up to 511 vertices, and wins all but one query set
-#: from 878 on.  Python LS wins below ~30 vertices; from there
-#: to ~160 k decides as much as size (python on k=3 cores, flat on most
-#: k>=4 ones), and any threshold from 40 to 56 gives the sweep the same
-#: total.  56 keeps python on the 16-60 vertex cores of the served
-#: benchmark mix, where python LS is ~15% faster in total and has the
-#: shorter tail.
+#: from 878 on.  Python LS runs Verify on int bitmasks of H^t_k and
+#: wins every bucket up to 1023 vertices (flat takes 1.2-2.1x its
+#: time); from ~1000 to ~2050 the two trade places query by query, and
+#: from ~2200 flat wins every query set by 1.1-1.4x.  Any threshold
+#: from 1000 to ~1700 gives the sweep's total within 0.5% of its
+#: optimum (1045 and 1136 in two runs); 1024 is that range's bucket
+#: edge.
 AUTO_FLAT_MIN_VERTICES = {
     "graph": 2048,
     "global": 800,
-    "local": 56,
+    "local": 1024,
 }
 
 

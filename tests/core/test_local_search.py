@@ -3,14 +3,22 @@ Verify walkthrough, soundness, and the LS/GS ratio experiment in miniature."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.api import gs_nc, ls_nc, ls_topj
 from repro.core.local_search import LocalSearch, expand
-from repro.core.peeling import nc_mac_at, top_j_at
+from repro.core.peeling import (
+    cascade_delete,
+    nc_mac_at,
+    restrict_to_query_component,
+    top_j_at,
+)
 from repro.dominance.graph import DominanceGraph
 from repro.errors import QueryError
 from repro.geometry.region import PreferenceRegion
-from repro.graph.core import k_core_containing
+from repro.graph.core import k_core_containing, peel_to_k_core
+from repro.kernels.search import search_flatgraph
 
 from tests.conftest import (
     paper_attributes,
@@ -79,8 +87,9 @@ class TestVerifyPaperWalkthrough:
         each survives only with the other present."""
         htk, gd = paper_setup
         ls = LocalSearch(htk, gd, [2, 3, 6], 3, gd.region)
-        assert not ls._survives_alone(4, H1)
-        assert not ls._survives_alone(5, H1)
+        h1 = ls._bits.mask(H1)
+        assert not ls._survives_alone(4, h1)
+        assert not ls._survives_alone(5, h1)
 
     def test_partition_weights_agree_with_oracle(
         self, paper_setup, paper_region
@@ -167,3 +176,105 @@ class TestEndToEndAPI:
                 strategy=strategy,
             )
             assert {e.best.members for e in res.partitions} == {H1, H3}
+
+
+class TestBitsetVerify:
+    """The bitset view that Verify probes agrees with the dict-graph
+    references it replaced: ``k_core_containing`` on a subgraph copy,
+    ``cascade_delete`` + ``restrict_to_query_component``, and the Gd
+    subset sweeps — on random graphs, vertex subsets, Q and k, for the
+    python (bitset) and flat (row mask) probes alike."""
+
+    REGION = PreferenceRegion([0.25, 0.25], [0.40, 0.40])
+
+    def make(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 18))
+        graph = random_graph(n, float(rng.uniform(0.2, 0.7)), seed=seed)
+        attrs = {v: rng.uniform(0, 10, 3) for v in graph.vertices()}
+        gd = DominanceGraph(attrs, self.REGION)
+        return rng, graph, gd
+
+    def search(self, graph, gd, query, k, flat):
+        view = search_flatgraph(graph) if flat else None
+        return LocalSearch(graph, gd, query, k, self.REGION, flat=view)
+
+    @staticmethod
+    def subset(rng, vertices):
+        keep = rng.random(len(vertices)) < rng.uniform(0.3, 1.0)
+        return [v for v, kept in zip(vertices, keep) if kept]
+
+    @pytest.mark.parametrize("flat", [False, True])
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 100_000))
+    def test_kcore_probe_matches_dict_subgraph(self, seed, flat):
+        rng, graph, gd = self.make(seed)
+        vertices = sorted(graph.vertices())
+        k = int(rng.integers(1, 5))
+        query = list(rng.choice(vertices, int(rng.integers(1, 3)), False))
+        ls = self.search(graph, gd, query, k, flat)
+        for _ in range(4):
+            chosen = self.subset(rng, vertices)
+            core = ls._kcore_members(ls._bits.mask(chosen))
+            expected = k_core_containing(
+                graph.subgraph(chosen), query, k, backend="python"
+            )
+            if expected is None:
+                assert core is None
+            else:
+                assert ls._bits.members(core) == sorted(expected.vertices())
+
+    @pytest.mark.parametrize("flat", [False, True])
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 100_000))
+    def test_certify_matches_cascade_delete(self, seed, flat):
+        rng, graph, gd = self.make(seed)
+        k = int(rng.integers(1, 5))
+        core = peel_to_k_core(graph, k, backend="python")
+        while core.num_vertices == 0 and k > 1:
+            k -= 1
+            core = peel_to_k_core(graph, k, backend="python")
+        if core.num_vertices == 0:
+            return  # an edgeless graph has no candidate to certify
+        start = sorted(core.vertices())[int(rng.integers(core.num_vertices))]
+        members = frozenset(core.component_of(start))
+        query = [start]
+        if len(members) > 2 and rng.random() < 0.5:
+            query.append(sorted(members - {start})[0])
+        ls = self.search(graph, gd, query, k, flat)
+        for u in sorted(members - set(query)):
+            sub = graph.subgraph(members)
+            deleted = cascade_delete(sub, u, k)
+            breaks = bool(deleted & set(query)) or \
+                restrict_to_query_component(sub, query) is None
+            certified = ls._certify_fast(
+                ls._root, ls._bits.mask(members), [u]
+            )
+            assert certified == breaks
+            # Every candidate is a connected k-core containing Q, so the
+            # bound-vertex test is one popcount; check it against the
+            # probe it short-cuts.
+            for v in sorted(set(graph.vertices()) - members):
+                alone = k_core_containing(
+                    graph.subgraph(members | {v}), query, k,
+                    backend="python",
+                )
+                assert ls._survives_alone(v, ls._bits.mask(members)) == (
+                    alone is not None and v in alone
+                )
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 100_000))
+    def test_mask_sweeps_match_gd(self, seed):
+        rng, graph, gd = self.make(seed)
+        vertices = sorted(graph.vertices())
+        bits = self.search(graph, gd, vertices[:1], 1, False)._bits
+        for _ in range(4):
+            chosen = self.subset(rng, vertices)
+            mask = bits.mask(chosen)
+            assert bits.members(bits.leaves(mask)) == gd.leaves_within(chosen)
+            assert bits.members(bits.tops(mask)) == gd.tops_within(chosen)
+            flags = gd.has_descendant_in(set(chosen))
+            assert bits.members(bits.dominators(mask)) == [
+                v for v in vertices if flags[v]
+            ]

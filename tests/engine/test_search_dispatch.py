@@ -83,11 +83,11 @@ def test_explicit_backends_are_honoured_at_every_size(
             assert ours.extra["engine"]["backend"] == backend
             assert ours.extra["engine"]["search_backend"] == backend
     # The engine-level default too, on cores either side of the LS
-    # crossover (python stages on the 1040-vertex core cost seconds).
+    # crossover.
     pinned = MACEngine(
         network[0], backend=backend, use_gtree=False, result_cache_size=0
     )
-    for case in (network[1][0], network[1][2]):
+    for case in (network[1][0], network[1][3]):
         theirs = pinned.search(request(case, algorithm="local"))
         assert theirs.extra["engine"]["search_backend"] == backend
 
@@ -106,11 +106,16 @@ def test_answers_match_both_forced_backends(
             ))
             for backend in ("auto", "flat", "python")
         }
+        # Both sides of each crossover: auto ran the path the table
+        # names, and every path agrees down to the partitions.
+        assert answers["auto"].extra["engine"]["search_backend"] == \
+            expected(algorithm, case[3])
         assert answers["auto"].communities() == \
             answers["flat"].communities() == \
             answers["python"].communities()
-        assert [e.communities for e in answers["auto"].partitions] == \
-            [e.communities for e in answers["python"].partitions]
+        for other in ("flat", "python"):
+            assert [e.communities for e in answers["auto"].partitions] == \
+                [e.communities for e in answers[other].partitions]
 
 
 def test_small_graph_searches_from_htk_too(paper_network, paper_region):
