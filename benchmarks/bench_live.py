@@ -16,6 +16,11 @@ path — ``MACEngine.apply`` with warm stage caches, validation,
 footprint eviction, and warm-filter repair on every batch — interleaved
 with warm queries, and reports how many of those queries still answered
 straight from the result cache (the dirty-region invalidation dividend).
+
+Finally times the G-tree side of a road re-weight: repairing the index
+in place (``GTree.reweighted`` rebuilds only the nodes that hold both
+endpoints) against building a fresh one, per re-weight of a random road
+edge, and checks the repaired matrices equal a fresh build.
 Emits ``BENCH_live.json``.
 """
 
@@ -39,6 +44,7 @@ from repro.kernels.livecore import (
     repair_insert_rows,
 )
 from repro.live import add_social_edge, remove_social_edge
+from repro.road.gtree import GTree
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_live.json"
 
@@ -54,6 +60,13 @@ DATASET = "fl+yelp"
 #: gap widens with graph size; ~2x on the hardest distribution at the
 #: smallest interesting scale is the honest floor, not a target.
 MIN_SPEEDUP = 1.5
+
+#: Full-run assertion floor: repairing the G-tree after one road
+#: re-weight must beat rebuilding it by at least this factor (median
+#: over the re-weights).  A re-weight dirties ~5-8 of 127-255 nodes on
+#: fl+yelp, but those include the root, whose border mini-graph is the
+#: largest; the full run measures ~13x.
+MIN_GTREE_SPEEDUP = 5.0
 
 
 def plan_walk(fg: FlatGraph, steps: int, rng) -> list[tuple[int, int, bool]]:
@@ -165,6 +178,44 @@ def bench_engine_throughput(ds, scale: float, mutations: int, rng) -> dict:
     }
 
 
+def bench_gtree_reweight(ds, steps: int, rng) -> dict:
+    """Per re-weight: in-place G-tree repair vs a full rebuild."""
+    road = ds.network.road
+    tree = GTree(road)
+    edges = list(road.edges())
+    repair_ms, rebuild_ms, dirty = [], [], []
+    for i in rng.integers(len(edges), size=steps).tolist():
+        u, v, w = edges[i]
+        road.add_edge(u, v, w * float(rng.uniform(0.25, 4.0)))
+        start = time.perf_counter()
+        repaired = tree.reweighted([(u, v)])
+        repair_ms.append((time.perf_counter() - start) * 1e3)
+        dirty.append(sum(
+            a is not b for a, b in zip(tree._nodes, repaired._nodes)
+        ))
+        tree = repaired
+        start = time.perf_counter()
+        fresh = GTree(road)
+        rebuild_ms.append((time.perf_counter() - start) * 1e3)
+    assert [n.matrix for n in tree._nodes] == [
+        n.matrix for n in fresh._nodes
+    ], "repaired G-tree differs from a fresh build"
+    repair_p50 = float(np.median(repair_ms))
+    rebuild_p50 = float(np.median(rebuild_ms))
+    return {
+        "road_vertices": road.num_vertices,
+        "nodes": tree.num_nodes,
+        "backend": tree.backend,
+        "reweights": steps,
+        "dirty_nodes_p50": float(np.median(dirty)),
+        "repair_ms_p50": repair_p50,
+        "repair_ms_max": max(repair_ms),
+        "rebuild_ms_p50": rebuild_p50,
+        "rebuild_ms_min": min(rebuild_ms),
+        "speedup": rebuild_p50 / repair_p50,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -197,6 +248,7 @@ def main(argv: list[str] | None = None) -> int:
             core_numbers(FlatGraph.from_adjacency(graph))
         )
     throughput = bench_engine_throughput(ds, scale, mutations, rng)
+    gtree = bench_gtree_reweight(ds, 5 if args.quick else 20, rng)
 
     results = {
         "dataset": DATASET,
@@ -205,6 +257,7 @@ def main(argv: list[str] | None = None) -> int:
         "repair": repair,
         "repair_speedup": repair["speedup"],
         "engine_throughput": throughput,
+        "gtree_reweight": gtree,
     }
 
     print(f"== live mutations: {DATASET} scale={scale} steps={steps}")
@@ -216,6 +269,10 @@ def main(argv: list[str] | None = None) -> int:
           f"{throughput['warm_result_hits']}/"
           f"{throughput['interleaved_queries']} interleaved queries "
           f"answered warm)")
+    print(f"gtree       repair {gtree['repair_ms_p50']:8.2f}ms   "
+          f"rebuild {gtree['rebuild_ms_p50']:8.2f}ms   "
+          f"{gtree['speedup']:.1f}x  ({gtree['dirty_nodes_p50']:.0f} of "
+          f"{gtree['nodes']} nodes rebuilt per re-weight)")
 
     args.output.write_text(json.dumps(results, indent=2) + "\n")
     print(f"wrote {args.output}")
@@ -227,6 +284,12 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(f"asserted: incremental repair >= {MIN_SPEEDUP:.1f}x over "
               f"full re-peel")
+        assert gtree["speedup"] >= MIN_GTREE_SPEEDUP, (
+            f"G-tree repair speedup {gtree['speedup']:.2f}x below the "
+            f"{MIN_GTREE_SPEEDUP:.1f}x floor"
+        )
+        print(f"asserted: G-tree repair >= {MIN_GTREE_SPEEDUP:.1f}x over "
+              f"a full rebuild")
     return 0
 
 

@@ -7,6 +7,11 @@ the pipeline — reuse work.  ``LRUCache.get_or_create`` deduplicates
 concurrent builds of the same key: when several batch workers ask for
 one missing entry, a single thread computes it and the rest wait on an
 event instead of redoing the (potentially seconds-long) build.
+
+Live mutations bracket their network changes with
+``begin_mutation``/``end_mutation``: a build that overlaps a mutation
+may have read a mix of old and new state, so it still answers its own
+caller (ordered before the batch) but is never published.
 """
 
 from __future__ import annotations
@@ -53,6 +58,9 @@ class LRUCache:
         self._inflight: dict[Hashable, threading.Event] = {}
         self._hits = 0
         self._misses = 0
+        # Even while idle, odd while a mutation is in progress; a build
+        # publishes only if the epoch it was elected at is still current.
+        self._epoch = 0
 
     # ------------------------------------------------------------------
     def get_or_create(
@@ -60,6 +68,7 @@ class LRUCache:
         key: Hashable,
         factory: Callable[[], Any],
         deadline: Any | None = None,
+        epoch: int | None = None,
     ) -> tuple[Any, bool]:
         """Return ``(value, was_hit)``, building via ``factory`` on a miss.
 
@@ -74,6 +83,12 @@ class LRUCache:
         (``check`` raises) instead of blocking unboundedly — without it,
         a deadline-carrying request could hang on ``event.wait()`` for
         the full duration of an unbudgeted caller's build.
+
+        A build that overlapped a mutation (see :meth:`begin_mutation`)
+        returns its value to this caller but does not cache it.  A
+        factory that uses inputs read before this call passes the
+        :attr:`epoch` read before them, which then counts as the start
+        of the build.
         """
         while True:
             with self._lock:
@@ -85,6 +100,8 @@ class LRUCache:
                 if event is None:
                     event = threading.Event()
                     self._inflight[key] = event
+                    if epoch is None:
+                        epoch = self._epoch
                     elected = True
                 else:
                     elected = False
@@ -107,13 +124,36 @@ class LRUCache:
                 raise
             with self._lock:
                 self._misses += 1
-                self._data[key] = value
-                self._data.move_to_end(key)
-                while len(self._data) > self.capacity:
-                    self._data.popitem(last=False)
+                if self._is_current(epoch):
+                    self._store(key, value)
                 self._inflight.pop(key, None)
             event.set()
             return value, False
+
+    def _is_current(self, epoch: int) -> bool:
+        return epoch == self._epoch and epoch % 2 == 0
+
+    def _store(self, key: Hashable, value: Any) -> None:
+        self._data[key] = value
+        self._data.move_to_end(key)
+        while len(self._data) > self.capacity:
+            self._data.popitem(last=False)
+
+    @property
+    def epoch(self) -> int:
+        """Token for the ``epoch`` of :meth:`put` / :meth:`get_or_create`."""
+        with self._lock:
+            return self._epoch
+
+    def begin_mutation(self) -> None:
+        """Mark a network mutation in progress: in-flight builds go stale."""
+        with self._lock:
+            self._epoch += 1
+
+    def end_mutation(self) -> None:
+        """Close :meth:`begin_mutation`; builds elected from now publish."""
+        with self._lock:
+            self._epoch += 1
 
     def evict_if(self, pred: Callable[[Hashable, Any], bool]) -> int:
         """Drop every entry for which ``pred(key, value)`` is true.
@@ -143,13 +183,19 @@ class LRUCache:
         with self._lock:
             return list(self._data.items())
 
-    def put(self, key: Hashable, value: Any) -> None:
-        """Insert an entry directly (snapshot restore; no miss counted)."""
+    def put(
+        self, key: Hashable, value: Any, epoch: int | None = None
+    ) -> None:
+        """Insert an entry directly (no miss counted).
+
+        Snapshot restore and mutation repair pass no ``epoch``.  A
+        caller that computed ``value`` outside :meth:`get_or_create`
+        passes the :attr:`epoch` it read first; the entry is dropped if
+        a mutation began since.
+        """
         with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
+            if epoch is None or self._is_current(epoch):
+                self._store(key, value)
 
     def peek(self, key: Hashable) -> tuple[Any, bool]:
         """``(value, present)`` without touching LRU order or counters."""

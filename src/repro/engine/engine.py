@@ -62,9 +62,9 @@ from repro.live.invalidate import (
 from repro.live.kcore import repair_delete, repair_insert
 from repro.live.mutations import (
     AddSocialEdge,
-    MoveUser,
     RemoveSocialEdge,
     UpdateAttributes,
+    UpdateRoadWeight,
     normalize_batch,
     validate_batch,
 )
@@ -351,6 +351,10 @@ class MACEngine:
         )
         self._counter_lock = threading.Lock()
         self._mutate_lock = threading.Lock()
+        # Guards reads of the shared social graph against edge flips: a
+        # torn read (one endpoint's neighbor set before the flip, the
+        # other's after) would leave a filter subgraph asymmetric.
+        self._graph_lock = threading.Lock()
         self._searches = 0
         self._batches = 0
         self._deadline_exceeded = 0
@@ -417,11 +421,8 @@ class MACEngine:
 
     def clear_caches(self) -> None:
         """Drop all cached query state (keeps the network's G-tree)."""
-        self._filter_cache.clear()
-        self._core_cache.clear()
-        self._gd_cache.clear()
-        if self._result_cache is not None:
-            self._result_cache.clear()
+        for cache in self._caches():
+            cache.clear()
 
     def telemetry(self) -> EngineTelemetry:
         """Aggregate cache and search counters since construction."""
@@ -522,26 +523,46 @@ class MACEngine:
           contain the user;
         * ``move_user`` / ``update_road_weight`` change query distances,
           whose footprint cached state cannot bound, so they evict
-          globally (road-weight updates also drop the G-tree; the road
-          CSR weight array is patched in place).
+          globally.  Road weights are patched in place in the road CSR;
+          the batch's re-weighted edges then repair a built G-tree in
+          one pass (:meth:`GTree.reweighted
+          <repro.road.gtree.GTree.reweighted>` rebuilds only the nodes
+          holding both endpoints of an edge), and the global eviction
+          runs after the repaired tree is published.
 
         Repair is copy-on-write: in-flight queries holding a cached
-        entry keep a consistent pre-mutation view (they serialize as if
-        ordered before the batch), while every later query sees the
-        repaired state.  Returns a summary dict with ``applied``,
-        ``by_kind``, ``evicted``, ``repaired_entries`` and the new
-        ``delta_seq``.
+        entry or the old G-tree keep a pre-mutation view (they serialize
+        as if ordered before the batch), while every later query sees
+        the repaired state.  A stage build that overlaps the batch
+        answers its own caller but is never cached.  Returns a summary
+        dict with ``applied``, ``by_kind``, ``evicted``,
+        ``repaired_entries`` and the new ``delta_seq``.
         """
         batch = normalize_batch(mutations)
         with self._mutate_lock:
             validate_batch(self.network, batch)
             evicted = repaired = 0
             by_kind: dict[str, int] = {}
-            for m in batch:
-                entry_evicted, entry_repaired = self._apply_one(m)
-                evicted += entry_evicted
-                repaired += entry_repaired
-                by_kind[m.kind] = by_kind.get(m.kind, 0) + 1
+            reweighted: list[tuple[int, int]] = []
+            caches = self._caches()
+            for cache in caches:
+                cache.begin_mutation()
+            try:
+                for m in batch:
+                    if isinstance(m, UpdateRoadWeight):
+                        self.network.road.add_edge(m.u, m.v, m.weight)
+                        reweighted.append((m.u, m.v))
+                    else:
+                        entry_evicted, entry_repaired = self._apply_one(m)
+                        evicted += entry_evicted
+                        repaired += entry_repaired
+                    by_kind[m.kind] = by_kind.get(m.kind, 0) + 1
+                if reweighted:
+                    self.network.reweight_gtree(reweighted)
+                    evicted += self._evict_all()
+            finally:
+                for cache in caches:
+                    cache.end_mutation()
             with self._counter_lock:
                 self._mutations += len(batch)
                 for kind, n in by_kind.items():
@@ -560,7 +581,10 @@ class MACEngine:
         }
 
     def _apply_one(self, m) -> tuple[int, int]:
-        """Apply one validated mutation; returns (evicted, repaired)."""
+        """Apply one validated mutation; returns (evicted, repaired).
+
+        Road re-weights are batched by :meth:`apply` instead.
+        """
         if isinstance(m, (AddSocialEdge, RemoveSocialEdge)):
             return self._apply_social_edge(
                 m.u, m.v, inserted=isinstance(m, AddSocialEdge)
@@ -568,27 +592,22 @@ class MACEngine:
         if isinstance(m, UpdateAttributes):
             self.network.social.set_attributes(m.user, m.attributes)
             return self._evict_for_attributes(m.user), 0
-        if isinstance(m, MoveUser):
-            self.network.social.set_location(m.user, m.point)
-            return self._evict_all(), 0
-        # UpdateRoadWeight: the road CSR is weight-patched in place by
-        # add_edge; the G-tree's distance matrices cannot be and must go.
-        self.network.road.add_edge(m.u, m.v, m.weight)
-        self.network.drop_gtree()
+        # MoveUser
+        self.network.social.set_location(m.user, m.point)
         return self._evict_all(), 0
+
+    def _caches(self) -> list[LRUCache]:
+        caches = [self._filter_cache, self._core_cache, self._gd_cache]
+        if self._result_cache is not None:
+            caches.append(self._result_cache)
+        return caches
 
     def _evict_all(self) -> int:
         """Global eviction: query distances changed, no bound on the blast."""
-        n = 0
-        for cache in (
-            self._filter_cache,
-            self._core_cache,
-            self._gd_cache,
-            self._result_cache,
-        ):
-            if cache is not None:
-                n += cache.evict_if(lambda _key, _value: True)
-        return n
+        return sum(
+            cache.evict_if(lambda _key, _value: True)
+            for cache in self._caches()
+        )
 
     def _evict_for_attributes(self, user: int) -> int:
         """Evict exactly the entries whose member sets contain ``user``."""
@@ -629,10 +648,11 @@ class MACEngine:
     def _apply_social_edge(self, u: int, v: int, inserted: bool) -> tuple[int, int]:
         """Mutate the social graph, repair warm filters, evict by footprint."""
         graph = self.network.social.graph
-        if inserted:
-            graph.add_edge(u, v)
-        else:
-            graph.remove_edge(u, v)
+        with self._graph_lock:
+            if inserted:
+                graph.add_edge(u, v)
+            else:
+                graph.remove_edge(u, v)
         deltas: dict[tuple, RepairDelta] = {}
         warm: set[tuple] = set()
         repaired = 0
@@ -811,7 +831,8 @@ class MACEngine:
                 request.query, request.t,
                 use_gtree=use_gtree, backend=self._selector(request),
             )
-            filtered = self.network.social.graph.subgraph(dq)
+            with self._graph_lock:
+                filtered = self.network.social.graph.subgraph(dq)
             flat = core_rows = None
             if backend == "flat" and filtered.num_vertices:
                 flat = FlatGraph.from_adjacency(filtered)
@@ -908,8 +929,18 @@ class MACEngine:
         backend: str,
         tel: dict,
         times: dict,
-        deadline: Deadline | None = None,
+        deadline: Deadline | None,
+        epoch: int,
     ) -> DominanceGraph:
+        """The r-dominance graph of ``core_state``.
+
+        ``epoch`` is the dominance cache's epoch read before
+        ``core_state`` was: a graph built from a core read before a
+        mutation batch is not cached, and a cached graph served after
+        one may describe the post-batch core, so it is rebuilt for this
+        core (uncached) instead.
+        """
+
         def build() -> DominanceGraph:
             if deadline is not None:
                 deadline.check("r-dominance construction")
@@ -922,8 +953,10 @@ class MACEngine:
                 times["dominance"] = time.perf_counter() - start
 
         gd, hit = self._gd_cache.get_or_create(
-            request.dominance_key + (backend,), build, deadline
+            request.dominance_key + (backend,), build, deadline, epoch
         )
+        if hit and self._gd_cache.epoch != epoch:
+            gd, hit = build(), False
         tel["dominance"] = "hit" if hit else "miss"
         return gd
 
@@ -1057,12 +1090,15 @@ class MACEngine:
             # results only.
             template, hit = self._result_cache.peek(request.result_key)
             if not hit:
+                epoch = self._result_cache.epoch
                 template = self._execute(request, deadline)
                 if template.partial:
                     with self._counter_lock:
                         self._partial_results += 1
                 else:
-                    self._result_cache.put(request.result_key, template)
+                    self._result_cache.put(
+                        request.result_key, template, epoch=epoch
+                    )
         else:
             # A result-cache hit is served instantly, deadline or not; a
             # miss runs the budgeted pipeline (the deadline also bounds
@@ -1114,6 +1150,7 @@ class MACEngine:
         tel_cache: dict[str, str] = {}
         times: dict[str, float] = {}
         try:
+            epoch = self._gd_cache.epoch
             core_state = self._prepared_core(
                 request, use_gtree, backend, tel_cache, times, deadline
             )
@@ -1129,7 +1166,8 @@ class MACEngine:
                 )
                 return result
             gd = self._dominance(
-                request, core_state, backend, tel_cache, times, deadline
+                request, core_state, backend, tel_cache, times, deadline,
+                epoch,
             )
         except DeadlineExceeded:
             if not anytime:
@@ -1232,11 +1270,14 @@ class MACEngine:
         deadline = Deadline.of(request.deadline)
         tel: dict[str, str] = {}
         times: dict[str, float] = {}
+        epoch = self._gd_cache.epoch
         core_state = self._prepared_core(
             request, use_gtree, backend, tel, times, deadline
         )
         if core_state.core is not None:
-            self._dominance(request, core_state, backend, tel, times, deadline)
+            self._dominance(
+                request, core_state, backend, tel, times, deadline, epoch
+            )
         else:
             tel["dominance"] = "skipped"
         self._account_stage_times(times)

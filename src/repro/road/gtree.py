@@ -18,6 +18,11 @@ Single-source queries run a Dijkstra over the multi-level border network
 (each node's matrix acts as a weighted clique), which is exact because any
 shortest path decomposes at the borders it crosses.  Range queries prune
 whole subtrees whose borders are all farther than the bound.
+
+A node's matrix depends only on the edges with both endpoints inside its
+vertex set, so a road re-weight touches just the lowest node holding
+both endpoints and its ancestors; :meth:`GTree.reweighted` rebuilds
+those and shares every other node with the original tree.
 """
 
 from __future__ import annotations
@@ -102,7 +107,10 @@ class GTree:
     Parameters
     ----------
     road:
-        The indexed network (kept by reference; do not mutate afterwards).
+        The indexed network, kept by reference.  Its topology must not
+        change afterwards; after edge *weights* change, swap the tree for
+        :meth:`reweighted` (queries read leaf-local weights from the live
+        road but border distances from the matrices).
     leaf_size:
         Maximum number of vertices per leaf node.
     backend:
@@ -175,6 +183,51 @@ class GTree:
             if not node.is_leaf:
                 for b in node.matrix:
                     self._border_nodes.setdefault(b, []).append(node.index)
+
+    def reweighted(self, edges: Iterable[tuple[int, int]]) -> GTree:
+        """A repaired index after the weights of existing ``edges`` changed.
+
+        Copy-on-write: returns a new tree and leaves this one untouched,
+        so queries already holding it finish on its matrices.  Only the
+        lowest common ancestor of each edge's two leaves and that node's
+        ancestors are rebuilt, bottom-up, on the road's current weights;
+        every other node, the leaf map and the border index are shared.
+        Borders depend on topology alone, so they carry over unchanged.
+        The result equals a fresh build over the re-weighted road.
+        """
+        nodes = self._nodes
+        dirty: set[int] = set()
+        for u, v in edges:
+            above_u: set[int] = set()
+            idx: int | None = self.leaf_of(u)
+            while idx is not None:
+                above_u.add(idx)
+                idx = nodes[idx].parent
+            idx = self.leaf_of(v)
+            while idx not in above_u:
+                idx = nodes[idx].parent
+            while idx is not None and idx not in dirty:
+                dirty.add(idx)
+                idx = nodes[idx].parent
+        tree = GTree._bare(self._road, self._leaf_size, self.backend)
+        tree._leaf_of = self._leaf_of
+        tree._border_nodes = self._border_nodes
+        tree._nodes = list(nodes)
+        # Children have larger indices than their parents, so descending
+        # index order rebuilds every dirty child before its parent.
+        for idx in sorted(dirty, reverse=True):
+            old = nodes[idx]
+            node = _Node(idx, old.vertices)
+            node.parent = old.parent
+            node.children = old.children
+            node.borders = old.borders
+            node.is_leaf = old.is_leaf
+            tree._nodes[idx] = node
+            if node.is_leaf:
+                tree._build_leaf_matrix(node)
+            else:
+                tree._build_internal_matrix(node)
+        return tree
 
     def _compute_borders(self, vertices: set[int]) -> list[int]:
         borders = []
@@ -308,6 +361,16 @@ class GTree:
                 borders[j]: float(row[j]) for j in finite.tolist()
             }
 
+    @classmethod
+    def _bare(cls, road: RoadNetwork, leaf_size: int, backend: str) -> GTree:
+        """A tree with its settings but no nodes (restore and repair)."""
+        self = cls.__new__(cls)
+        self._road = road
+        self._leaf_size = leaf_size
+        self.backend = backend
+        self._flat = road.flat() if backend == "flat" else None
+        return self
+
     # ------------------------------------------------------------------
     # snapshot round-trip (repro.store)
     # ------------------------------------------------------------------
@@ -371,11 +434,7 @@ class GTree:
         (it only governs how post-load queries run their local leaf
         Dijkstras, not the restored matrices).
         """
-        self = cls.__new__(cls)
-        self._road = road
-        self._leaf_size = leaf_size
-        self.backend = backend
-        self._flat = road.flat() if backend == "flat" else None
+        self = cls._bare(road, leaf_size, backend)
         parent = state["parent"].tolist()
         is_leaf = state["is_leaf"].tolist()
         vert_ptr = state["vert_ptr"].tolist()

@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import GraphError
 
 
@@ -140,27 +142,33 @@ class RoadNetwork:
 
     def _patch_flat_weight(self, u: int, v: int, weight: float) -> None:
         fg = self._flat
-        ru, rv = fg.row_of(u), fg.row_of(v)
         weights = fg.weights
         if not weights.flags.writeable:
             # Snapshot-restored CSRs may be read-only memory maps;
             # copy-on-write instead of touching the shared mapping.
             weights = weights.copy()
             fg.weights = weights
-        s, e = fg.indptr[ru], fg.indptr[ru + 1]
-        weights[s:e][fg.indices[s:e] == rv] = weight
-        s, e = fg.indptr[rv], fg.indptr[rv + 1]
-        weights[s:e][fg.indices[s:e] == ru] = weight
-        # Derived per-vertex views embed weights; rebuild them lazily.
-        fg._lists = None
-        fg._pairs = None
+        # The cached list/pair views embed weights too: patch the same
+        # two entries there rather than rebuilding them on next use.
+        lists, pairs = fg._lists, fg._pairs
+        ru, rv = fg.row_of(u), fg.row_of(v)
+        for a, b in ((ru, rv), (rv, ru)):
+            s = int(fg.indptr[a])
+            hits = np.flatnonzero(fg.indices[s:int(fg.indptr[a + 1])] == b)
+            for j in hits.tolist():
+                weights[s + j] = weight
+                if lists is not None:
+                    lists[2][s + j] = weight
+                if pairs is not None:
+                    pairs[a][j] = (b, weight)
 
     def flat(self):
         """Cached CSR view (:class:`repro.kernels.FlatGraph`) of the network.
 
         Built on first use and invalidated by topology mutations (a
         weight-only :meth:`add_edge` on an existing edge patches the
-        cached weight array in place instead); shared by every
+        cached weight array and its list/pair views in place instead);
+        shared by every
         flat-backend shortest-path call so the conversion cost is paid
         once per network, not per query.  Concurrent first calls may
         race to build — both produce identical snapshots, so the benign

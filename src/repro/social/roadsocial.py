@@ -155,10 +155,17 @@ class RoadSocialNetwork:
         """Whether the G-tree has been built (never triggers a build)."""
         return self._gtree is not None
 
-    def drop_gtree(self) -> None:
-        """Discard the cached G-tree (road weights changed; rebuild lazily)."""
+    def reweight_gtree(self, edges: Iterable[tuple[int, int]]) -> None:
+        """Repair the G-tree after the road weights of ``edges`` changed.
+
+        Publishes :meth:`GTree.reweighted <repro.road.gtree.GTree.reweighted>`
+        under the build lock: callers already holding the old tree keep
+        it, later callers get the repaired one.  A tree that was never
+        built stays unbuilt (a lazy first build reads the new weights).
+        """
         with self._gtree_lock:
-            self._gtree = None
+            if self._gtree is not None:
+                self._gtree = self._gtree.reweighted(edges)
 
     # ------------------------------------------------------------------
     def query_distance_filter(

@@ -117,3 +117,86 @@ def random_graph(
             if rng.random() < p:
                 g.add_edge(u, v)
     return g
+
+
+# ----------------------------------------------------------------------
+# G-tree re-weight repair (tests/road, tests/kernels)
+# ----------------------------------------------------------------------
+#: Where a re-weighted edge lands in the tree: inside one leaf, across
+#: two leaves, or inside one leaf between two of that leaf's borders
+#: (such an edge also enters the parent's border mini-graph).
+REWEIGHT_KINDS = ("intra_leaf", "cross_leaf", "border_pair")
+
+
+def reweight_targets(road: RoadNetwork, tree) -> dict[str, list]:
+    """Road edges grouped by :data:`REWEIGHT_KINDS` for ``tree``."""
+    groups: dict[str, list] = {kind: [] for kind in REWEIGHT_KINDS}
+    for u, v, _w in road.edges():
+        leaf = tree.leaf_of(u)
+        if leaf != tree.leaf_of(v):
+            groups["cross_leaf"].append((u, v))
+            continue
+        groups["intra_leaf"].append((u, v))
+        borders = tree._nodes[leaf].borders
+        if u in borders and v in borders:
+            groups["border_pair"].append((u, v))
+    return groups
+
+
+def reweight_batches():
+    """Hypothesis strategy: 1-3 batches of 1-4 ``(kind, pick, weight)``."""
+    from hypothesis import strategies as st
+
+    weight = st.one_of(
+        st.just(0.0), st.floats(0.0, 25.0, allow_nan=False)
+    )
+    step = st.tuples(
+        st.sampled_from(REWEIGHT_KINDS), st.integers(0, 255), weight
+    )
+    return st.lists(
+        st.lists(step, min_size=1, max_size=4), min_size=1, max_size=3
+    )
+
+
+def check_reweight_repair(road: RoadNetwork, tree, batches) -> None:
+    """Apply re-weight ``batches`` and check the repaired tree is exact.
+
+    ``batches`` is a list of ``[(kind, pick, weight), ...]`` batches;
+    each picks an edge of ``kind`` (modulo the group size), re-weights
+    it on ``road``, and the batch's edges repair the tree in one
+    :meth:`~repro.road.gtree.GTree.reweighted` call.  Afterwards every
+    node matrix must equal a fresh build over the mutated road, range
+    queries must equal bounded Dijkstra, and the first tree's matrices
+    must be untouched (copy-on-write).
+    """
+    from repro.road.dijkstra import bounded_dijkstra
+    from repro.road.gtree import GTree
+
+    groups = reweight_targets(road, tree)
+    original = tree
+    before = [{b: dict(row) for b, row in n.matrix.items()}
+              for n in original._nodes]
+    for batch in batches:
+        edges = []
+        for kind, pick, weight in batch:
+            u, v = groups[kind][pick % len(groups[kind])]
+            road.add_edge(u, v, weight)
+            edges.append((u, v))
+        tree = tree.reweighted(edges)
+    fresh = GTree(road, leaf_size=tree.leaf_size, backend=tree.backend)
+    # Compare node ids, not the matrices: a failing diff of whole
+    # matrices would be slow to render on every shrink step.
+    stale = [n.index for n, f in zip(tree._nodes, fresh._nodes)
+             if n.matrix != f.matrix]
+    assert stale == [], "repaired nodes differ from a fresh build"
+    touched = [n.index for n, m in zip(original._nodes, before)
+               if n.matrix != m]
+    assert touched == [], "the pre-repair tree was mutated"
+    vertices = sorted(road.vertices())
+    for source in vertices[:: max(1, len(vertices) // 4)]:
+        for bound in (4.0, 15.0):
+            expected = bounded_dijkstra(road, source, bound, backend="python")
+            got = tree.range_query(source, bound)
+            assert set(got) == set(expected)
+            for x, d in expected.items():
+                assert got[x] == pytest.approx(d, rel=1e-9, abs=1e-12)

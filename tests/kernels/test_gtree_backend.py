@@ -12,8 +12,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from tests.conftest import paper_road
+from tests.conftest import check_reweight_repair, paper_road, reweight_batches
 from tests.kernels.conftest import random_road
 from repro.road.dijkstra import bounded_dijkstra
 from repro.road.gtree import GTree
@@ -97,3 +98,34 @@ class TestQueries:
         assert set(a) == set(b)
         for v in a:
             assert b[v] == pytest.approx(a[v], rel=1e-9)
+
+
+class TestReweighted:
+    """Re-weight repair is exact on both matrix-assembly backends."""
+
+    @pytest.mark.parametrize("backend", ["python", "flat"])
+    @pytest.mark.parametrize("coords", [True, False])
+    @settings(max_examples=10, deadline=None)
+    @given(batches=reweight_batches())
+    def test_repair_equals_fresh_build(self, backend, coords, batches):
+        road = random_road(100, 50, 5, coords=coords)
+        check_reweight_repair(
+            road, GTree(road, leaf_size=16, backend=backend), batches
+        )
+
+    def test_repaired_backends_agree(self):
+        road = random_road(150, 80, 9)
+        gp, gf = build_pair(road)
+        rng = np.random.default_rng(9)
+        edges = list(road.edges())
+        for _ in range(3):
+            batch = [edges[i][:2] for i in rng.integers(len(edges), size=3)]
+            for u, v in batch:
+                road.add_edge(u, v, float(rng.uniform(0.0, 12.0)))
+            gp, gf = gp.reweighted(batch), gf.reweighted(batch)
+        for np_, nf in zip(gp._nodes, gf._nodes):
+            assert set(np_.matrix) == set(nf.matrix)
+            for b, rp in np_.matrix.items():
+                assert set(rp) == set(nf.matrix[b])
+                for v in rp:
+                    assert nf.matrix[b][v] == pytest.approx(rp[v], rel=1e-9)

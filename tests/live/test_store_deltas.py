@@ -6,7 +6,13 @@ import pytest
 
 from repro import MACEngine, MACRequest, PreferenceRegion
 from repro.errors import SnapshotError
-from repro.live import add_social_edge, remove_social_edge, update_attributes
+from repro.live import (
+    add_social_edge,
+    remove_social_edge,
+    update_attributes,
+    update_road_weight,
+)
+from repro.road.gtree import GTree
 from repro.road.network import SpatialPoint
 from repro.social.network import SocialNetwork
 from repro.social.roadsocial import RoadSocialNetwork
@@ -18,10 +24,14 @@ from tests.conftest import paper_attributes, paper_road, paper_social_graph
 REGION = PreferenceRegion([0.1, 0.2], [0.5, 0.4])
 
 
-def make_network() -> RoadSocialNetwork:
+def make_network(road_weights=()) -> RoadSocialNetwork:
+    """The paper network, with ``(u, v, weight)`` road re-weights applied."""
     locations = {v: SpatialPoint.at_vertex(v) for v in range(1, 16)}
+    road = paper_road()
+    for u, v, w in road_weights:
+        road.add_edge(u, v, w)
     return RoadSocialNetwork(
-        paper_road(),
+        road,
         SocialNetwork(paper_social_graph(), paper_attributes(), locations),
     )
 
@@ -130,3 +140,72 @@ class TestReplayOnLoad:
         append_delta(snapshot, [add_social_edge(2, 3)])
         with pytest.raises(SnapshotError, match="seq 1"):
             MACEngine.load(snapshot, make_network())
+
+
+class TestRoadWeightReplay:
+    """Road re-weights replayed from the log repair the restored G-tree."""
+
+    BATCHES = [
+        [(6, 7, 20.0)],
+        [(1, 2, 0.0), (9, 14, 1.5)],
+    ]
+    #: leaf_size 4 splits the 15-vertex road into a multi-level tree
+    KNOBS = dict(use_gtree=True, gtree_leaf_size=4)
+
+    @pytest.fixture(params=["python", "flat"])
+    def gtree_snapshot(self, request, tmp_path):
+        path = tmp_path / "snap"
+        engine = MACEngine(make_network(), backend=request.param,
+                           eager=True, **self.KNOBS)
+        engine.search(make_request())
+        engine.save(path)
+        for batch in self.BATCHES:
+            append_delta(path, [update_road_weight(*m) for m in batch])
+        return path, request.param
+
+    def mutated(self, backend) -> MACEngine:
+        weights = [m for batch in self.BATCHES for m in batch]
+        return MACEngine(make_network(weights), backend=backend,
+                         eager=True, **self.KNOBS)
+
+    @staticmethod
+    def matrices(network) -> list:
+        return [node.matrix for node in network.gtree._nodes]
+
+    def test_replay_repairs_instead_of_rebuilding(
+        self, gtree_snapshot, monkeypatch
+    ):
+        path, backend = gtree_snapshot
+        monkeypatch.setattr(
+            GTree, "__init__",
+            lambda *a, **k: pytest.fail("G-tree rebuilt during replay"),
+        )
+        engine = MACEngine.load(path, make_network())
+        request = make_request()
+        served = engine.search(request)
+        monkeypatch.undo()
+        assert engine.delta_seq == len(self.BATCHES)
+        reference = self.mutated(backend)
+        assert self.matrices(engine.network) == self.matrices(
+            reference.network
+        )
+        expected = reference.search(request)
+        assert served.htk_vertices == expected.htk_vertices
+        assert served.communities() == expected.communities()
+
+    def test_save_after_repair_persists_repaired_matrices(
+        self, gtree_snapshot, tmp_path
+    ):
+        path, backend = gtree_snapshot
+        engine = MACEngine.load(path, make_network())
+        resaved = tmp_path / "resaved"
+        engine.save(resaved)
+        weights = [m for batch in self.BATCHES for m in batch]
+        reloaded = MACEngine.load(resaved, make_network(weights))
+        assert reloaded.delta_seq == 0
+        assert self.matrices(reloaded.network) == self.matrices(
+            engine.network
+        )
+        assert self.matrices(reloaded.network) == self.matrices(
+            self.mutated(backend).network
+        )

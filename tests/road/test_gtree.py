@@ -2,13 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import GraphError
 from repro.road.dijkstra import bounded_dijkstra, dijkstra, network_distance
 from repro.road.gtree import GTree
 from repro.road.network import RoadNetwork, SpatialPoint
 
-from tests.conftest import paper_road
+from tests.conftest import (
+    REWEIGHT_KINDS,
+    check_reweight_repair,
+    paper_road,
+    reweight_batches,
+    reweight_targets,
+)
 
 
 def _grid_road(side: int, seed: int) -> RoadNetwork:
@@ -127,3 +134,48 @@ class TestQueryDistanceFilter:
             assert set(actual) == set(expected)
             for v, d in expected.items():
                 assert actual[v] == pytest.approx(d)
+
+
+class TestReweighted:
+    """``GTree.reweighted``: copy-on-write repair after weight changes."""
+
+    @pytest.mark.parametrize("backend", ["python", "flat"])
+    @settings(max_examples=25, deadline=None)
+    @given(batches=reweight_batches())
+    def test_repair_equals_fresh_build(self, backend, batches):
+        road = _grid_road(7, 3)
+        check_reweight_repair(
+            road, GTree(road, leaf_size=6, backend=backend), batches
+        )
+
+    def test_grid_has_every_edge_kind(self):
+        road = _grid_road(7, 3)
+        groups = reweight_targets(road, GTree(road, leaf_size=6))
+        assert all(groups[kind] for kind in REWEIGHT_KINDS)
+
+    def test_only_the_lca_path_is_rebuilt(self):
+        road = _grid_road(8, 0)
+        gt = GTree(road, leaf_size=8)
+        u, v = reweight_targets(road, gt)["intra_leaf"][0]
+        road.add_edge(u, v, 0.5)
+        repaired = gt.reweighted([(u, v)])
+        path = set()
+        idx = gt.leaf_of(u)
+        while idx is not None:
+            path.add(idx)
+            idx = gt._nodes[idx].parent
+        for old, new in zip(gt._nodes, repaired._nodes):
+            assert (old is not new) == (old.index in path)
+        assert repaired._leaf_of is gt._leaf_of
+        assert repaired._border_nodes is gt._border_nodes
+
+    def test_empty_batch_shares_every_node(self):
+        road = _grid_road(5, 1)
+        gt = GTree(road, leaf_size=5)
+        repaired = gt.reweighted([])
+        assert all(a is b for a, b in zip(gt._nodes, repaired._nodes))
+
+    def test_unknown_edge_endpoint(self):
+        gt = GTree(paper_road(), leaf_size=4)
+        with pytest.raises(GraphError):
+            gt.reweighted([(1, 999)])

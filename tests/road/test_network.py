@@ -132,3 +132,17 @@ class TestFlatWeightPatch:
         assert r.flat() is fg
         assert fg.weights is not original  # copy-on-write for mmap views
         assert original.flags.writeable is False
+
+    def test_cached_list_views_are_patched_not_dropped(self):
+        from repro.kernels.flatgraph import FlatGraph
+
+        r = self.make()
+        fg = r.flat()
+        lists, pairs = fg.lists(), fg.adjacency_pairs()
+        r.add_edge(3, 1, 0.0)
+        r.add_edge(2, 3, 7.5)
+        assert fg.lists() is lists and fg.adjacency_pairs() is pairs
+        fresh = FlatGraph.from_road(r)
+        assert fg.weights.tolist() == fresh.weights.tolist()
+        assert fg.lists() == fresh.lists()
+        assert fg.adjacency_pairs() == fresh.adjacency_pairs()
